@@ -29,7 +29,7 @@ Only the config is eager.
 
 from __future__ import annotations
 
-from .config import ANALYSIS, AnalysisConfig
+from .config import ANALYSIS
 
 _LAZY = {
     "AnalysisReport": ".diagnostics",
@@ -42,7 +42,6 @@ _LAZY = {
 
 __all__ = [
     "ANALYSIS",
-    "AnalysisConfig",
     "AnalysisReport",
     "Diagnostic",
     "PlanAnalyzer",

@@ -29,7 +29,7 @@ import path of leaf lock-owning modules; the static half resolves lazily.
 
 from __future__ import annotations
 
-from .config import RACECHECK, RaceCheckConfig
+from .config import RACECHECK
 from .runtime import (
     TRACKER,
     LockTracker,
@@ -55,7 +55,6 @@ __all__ = [
     "ConcurrencyModel",
     "LockTracker",
     "RACECHECK",
-    "RaceCheckConfig",
     "TRACKER",
     "TrackedLock",
     "TrackedRLock",

@@ -3,10 +3,12 @@
 Each rule exists because an invariant was only ever enforced by
 convention across the obs/cache/resilience/drift layers:
 
-- **REPRO001** — environment variables are read only in ``config.py``
-  modules, once at import. A stray ``os.environ`` read anywhere else
-  makes behavior depend on *when* a module was imported and escapes the
-  ``disabled()``/``overridden()`` override machinery.
+- **REPRO001** — environment variables are read only in
+  :mod:`repro.knobs`, through a layer's declared knob table. A stray
+  ``os.environ`` read anywhere else makes behavior depend on *when* a
+  module was imported, escapes the ``disabled()``/``overridden()``
+  override machinery and the one value parser, and is missing from the
+  README's generated knob reference.
 - **REPRO002** — every metric name passed to ``METRICS.inc`` / ``gauge``
   / ``observe`` / ``timer`` must match a pattern declared in
   :mod:`repro.obs.registry`, so counters cannot silently diverge from
@@ -42,7 +44,7 @@ from ..diagnostics import ERROR, Diagnostic
 from .engine import SourceFile
 
 #: files in which REPRO001 allows environment reads.
-_ENV_ALLOWED_FILES = {"config.py"}
+_ENV_ALLOWED_FILES = {"knobs.py"}
 #: files in which REPRO005 allows raw randomness / clock reads.
 _RNG_ALLOWED_FILES = {"rng.py"}
 
@@ -55,7 +57,7 @@ _CLOCK_FNS = {"time", "time_ns"}
 _DATETIME_FNS = {"now", "utcnow", "today"}
 
 
-# -- REPRO001: env reads live in config modules -------------------------------
+# -- REPRO001: env reads live in repro.knobs -----------------------------------
 def rule_env_reads(sf: SourceFile) -> Iterable[Diagnostic]:
     if sf.name in _ENV_ALLOWED_FILES:
         return
@@ -76,8 +78,8 @@ def rule_env_reads(sf: SourceFile) -> Iterable[Diagnostic]:
         if hit:
             yield Diagnostic(
                 "REPRO001", ERROR,
-                f"{hit} read outside a config module; route it through the "
-                f"layer's config.py so disabled()/overridden() can see it",
+                f"{hit} read outside repro/knobs.py; declare a Knob in the "
+                f"layer's config.py table so disabled()/overridden() can see it",
                 path=sf.location(node.lineno),
             )
 

@@ -24,7 +24,7 @@ Service` and session-level suggestion reuse on
 
 from __future__ import annotations
 
-from .config import CACHE, CacheConfig
+from .config import CACHE
 from .fingerprint import linker_token, plan_fingerprint
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
@@ -32,7 +32,6 @@ from .tiers import CacheTiers
 
 __all__ = [
     "CACHE",
-    "CacheConfig",
     "CacheTiers",
     "LRUCache",
     "PlanResultCache",
@@ -59,7 +58,7 @@ def cache_stats_line(metrics=None) -> str:
     reused = int(m.counter_value("session.suggestions_reused"))
     blocked = int(m.counter_value("cache.blocking.joins"))
     pairs_pruned = int(m.counter_value("cache.blocking.pairs_pruned"))
-    off = [layer for layer, on in CACHE.snapshot().items() if not on]
+    off = [layer for layer in CACHE.SWITCHES if not getattr(CACHE, layer)]
     line = (
         f"cache: plan {plan_hits}h/{plan_misses}m/{plan_evictions}e · "
         f"service {service_hits}h/{service_misses}m · "

@@ -1,87 +1,27 @@
-"""Cache configuration: one switch per cache layer, env-overridable.
+"""Cache-layer knobs: one switch per cache layer (see :mod:`repro.knobs`).
 
-Every cache in the subsystem (see the package docstring) is individually
-disableable so correctness A/B tests and the CI cached-vs-uncached gate can
-toggle layers without monkeypatching. Resolution order:
-
-1. programmatic: ``CACHE.plan = False`` or the :meth:`CacheConfig.disabled`
-   context manager (used by tests/benchmarks);
-2. environment, read once at import: ``REPRO_CACHE=0`` kills every layer,
-   ``REPRO_CACHE_PLAN=0`` / ``REPRO_CACHE_SERVICE=0`` /
-   ``REPRO_CACHE_BLOCKING=0`` / ``REPRO_CACHE_SUGGESTIONS=0`` kill one.
-
-The flags are plain attributes on a process-wide singleton (:data:`CACHE`),
-mirroring how ``repro.obs`` exposes METRICS/TRACER: call sites pay one
-attribute read when deciding whether to consult a cache.
+Every layer can be turned off on its own, so correctness A/B tests and
+the CI cached-vs-uncached gate toggle layers without monkeypatching.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+from ..knobs import Knob, KnobSet
 
-_FALSY = {"0", "false", "no", "off", ""}
-
-
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
-
-
-class CacheConfig:
-    """Mutable on/off switches for each cache layer."""
-
-    #: Flag attributes, also the vocabulary accepted by :meth:`disabled`.
-    LAYERS = ("plan", "service", "blocking", "suggestions")
-
-    def __init__(self) -> None:
-        master = _env_flag("REPRO_CACHE", True)
-        #: shared-subplan result cache in the evaluator
-        self.plan = master and _env_flag("REPRO_CACHE_PLAN", True)
-        #: Service.invoke memoization
-        self.service = master and _env_flag("REPRO_CACHE_SERVICE", True)
-        #: blocking-aware RecordLinkJoin candidate generation
-        self.blocking = master and _env_flag("REPRO_CACHE_BLOCKING", True)
-        #: session-level dirty-flag suggestion reuse
-        self.suggestions = master and _env_flag("REPRO_CACHE_SUGGESTIONS", True)
-        #: below this many left×right pairs a RecordLinkJoin keeps the full
-        #: cross even with blocking on — blocking is an approximation, so it
-        #: is reserved for inputs where the quadratic scan actually hurts.
-        self.blocking_min_pairs = int(os.environ.get("REPRO_CACHE_BLOCKING_MIN_PAIRS", "4096"))
-        #: LRU capacities (entries), kept modest: results are small at the
-        #: paper's scale and precision of invalidation does the real work.
-        self.plan_capacity = int(os.environ.get("REPRO_CACHE_PLAN_CAPACITY", "512"))
-        self.service_capacity = int(os.environ.get("REPRO_CACHE_SERVICE_CAPACITY", "2048"))
-
-    def set_all(self, enabled: bool) -> None:
-        for layer in self.LAYERS:
-            setattr(self, layer, enabled)
-
-    @contextmanager
-    def disabled(self, *layers: str):
-        """Temporarily disable the named layers (all, when none are named)."""
-        names = layers or self.LAYERS
-        for name in names:
-            if name not in self.LAYERS:
-                raise ValueError(f"unknown cache layer {name!r}; known: {self.LAYERS}")
-        previous = {name: getattr(self, name) for name in names}
-        try:
-            for name in names:
-                setattr(self, name, False)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, bool]:
-        return {layer: bool(getattr(self, layer)) for layer in self.LAYERS}
-
-    def __repr__(self) -> str:
-        states = ", ".join(f"{k}={'on' if v else 'off'}" for k, v in self.snapshot().items())
-        return f"CacheConfig({states})"
-
-
-#: The process-wide cache configuration every layer consults.
-CACHE = CacheConfig()
+#: The process-wide cache knobs every layer consults.
+CACHE = KnobSet(
+    "cache",
+    (
+        Knob("plan", "REPRO_CACHE_PLAN", bool, True, "shared-subplan result cache in the evaluator"),
+        Knob("service", "REPRO_CACHE_SERVICE", bool, True, "`Service.invoke` memoization"),
+        Knob("blocking", "REPRO_CACHE_BLOCKING", bool, True,
+             "blocking-aware candidate generation for record-link joins"),
+        Knob("suggestions", "REPRO_CACHE_SUGGESTIONS", bool, True,
+             "session-level dirty-flag reuse of suggestion batches"),
+        Knob("blocking_min_pairs", "REPRO_CACHE_BLOCKING_MIN_PAIRS", int, 4096,
+             "below this many left×right pairs a record-link join keeps the full cross even with "
+             "blocking on: blocking is an approximation, kept for inputs where the quadratic scan hurts"),
+    ),
+    switches=("plan", "service", "blocking", "suggestions"),
+    master=Knob("all", "REPRO_CACHE", bool, True, "0 turns every cache layer below off"),
+)

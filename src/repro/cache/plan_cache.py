@@ -24,21 +24,22 @@ from typing import Hashable
 from ..obs import METRICS
 from ..provenance.expressions import Provenance
 from ..substrate.relational.rows import Row
-from .config import CACHE
 from .lru import LRUCache
 
 AnnotatedRows = list[tuple[Row, Provenance]]
 
 _MISSING = object()
 
+#: LRU entries, kept modest: results are small at the paper's scale and
+#: precise invalidation does the real work.
+PLAN_CAPACITY = 512
+
 
 class PlanResultCache:
     """LRU of evaluated subplan results, version-keyed (one per evaluator)."""
 
-    def __init__(self, capacity: int | None = None):
-        self._lru = LRUCache(
-            capacity or CACHE.plan_capacity, metrics_prefix="cache.plan"
-        )
+    def __init__(self, capacity: int = PLAN_CAPACITY):
+        self._lru = LRUCache(capacity, metrics_prefix="cache.plan")
 
     def get(
         self, fingerprint: Hashable, version: Hashable, *, scope: Hashable = None

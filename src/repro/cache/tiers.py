@@ -34,6 +34,14 @@ from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
 
+#: Analyzer-report memo entries, keyed on (plan fingerprint, catalog
+#: version), so a suggestion refresh re-checks each candidate plan once.
+ANALYSIS_CAPACITY = 1024
+#: Columnar compiled-plan memo entries (closures per fingerprint × version).
+COMPILE_CAPACITY = 512
+#: Columnar scan-transpose memo entries (column arrays per source × version).
+SCAN_CAPACITY = 128
+
 
 class CacheTiers:
     """The full set of evaluation memos, optionally shared across sessions.
@@ -46,16 +54,11 @@ class CacheTiers:
     """
 
     def __init__(self, *, shared: bool = False):
-        # Deferred: importing repro.analysis at module scope would cycle back
-        # through repro.cache (plan_analyzer uses cache.fingerprint).
-        from ..analysis.config import ANALYSIS
-        from ..substrate.relational.config import COLUMNAR
-
         self.shared = shared
         self.plan = PlanResultCache()
-        self.analysis = LRUCache(ANALYSIS.memo_capacity, metrics_prefix="analysis.memo")
-        self.compile = LRUCache(COLUMNAR.compile_capacity, metrics_prefix="columnar.compile")
-        self.scan = LRUCache(COLUMNAR.scan_capacity, metrics_prefix="columnar.scan")
+        self.analysis = LRUCache(ANALYSIS_CAPACITY, metrics_prefix="analysis.memo")
+        self.compile = LRUCache(COMPILE_CAPACITY, metrics_prefix="columnar.compile")
+        self.scan = LRUCache(SCAN_CAPACITY, metrics_prefix="columnar.scan")
         # Configured capacities, remembered so a brownout shrink can be
         # undone exactly (restore() after the load controller recovers).
         self._full_capacities = {

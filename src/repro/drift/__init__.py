@@ -29,7 +29,7 @@ behavior bit-for-bit.
 
 from __future__ import annotations
 
-from .config import DRIFT, DriftConfig
+from .config import DRIFT
 from .healing import WrapperRecord, apply_wrapper, record_wrapper, refetch_event, reinduce_wrapper
 from .perturb import PERTURBATIONS, RECOVERABLE, UNRECOVERABLE, PerturbationResult, perturb_page
 from .quarantine import (
@@ -62,7 +62,6 @@ __all__ = [
     "DRIFT",
     "DRIFT_EVENTS_NOTE",
     "DRIFT_RESYNCS_NOTE",
-    "DriftConfig",
     "InductionSnapshot",
     "PERTURBATIONS",
     "PROVENANCE_NOTE",

@@ -20,7 +20,8 @@ verified against that snapshot:
   catches silent field reorders: positions still extract, but the street
   column suddenly "looks like" names.
 
-All thresholds come from :data:`repro.drift.config.DRIFT`.
+The type threshold is the ``DRIFT.type_divergence_threshold`` knob; the
+row-count and coverage bounds are the constants below.
 """
 
 from __future__ import annotations
@@ -31,6 +32,16 @@ from typing import Sequence
 from ..learning.model.patterns import TypeSignature
 from ..util.text import is_blank
 from .config import DRIFT
+
+#: A re-extraction yielding fewer than this fraction of the induction-time
+#: row count is suspicious (template loss, truncation) ...
+MIN_ROW_FRACTION = 0.5
+#: ... and more than this multiple is too (a rule suddenly matching page
+#: chrome or other columns).
+MAX_ROW_MULTIPLE = 3.0
+#: Fraction of the stored user examples that must still re-extract, matched
+#: by value (the landmark-coverage check).
+MIN_EXAMPLE_COVERAGE = 0.5
 
 #: Longest plausible extracted cell; beyond this the rule is eating template.
 MAX_CELL_LEN = 200
@@ -188,22 +199,22 @@ def verify_extraction(
         )
 
     if check_counts and snapshot.n_rows:
-        if len(valid) < DRIFT.min_row_fraction * snapshot.n_rows:
+        if len(valid) < MIN_ROW_FRACTION * snapshot.n_rows:
             reasons.append(
                 f"row count collapsed: {len(valid)} valid vs {snapshot.n_rows} "
-                f"at induction (min fraction {DRIFT.min_row_fraction:g})"
+                f"at induction (min fraction {MIN_ROW_FRACTION:g})"
             )
-        elif len(valid) > DRIFT.max_row_multiple * snapshot.n_rows:
+        elif len(valid) > MAX_ROW_MULTIPLE * snapshot.n_rows:
             reasons.append(
                 f"row count exploded: {len(valid)} valid vs {snapshot.n_rows} "
-                f"at induction (max multiple {DRIFT.max_row_multiple:g})"
+                f"at induction (max multiple {MAX_ROW_MULTIPLE:g})"
             )
 
     coverage = example_coverage(snapshot.examples, valid)
-    if check_examples and snapshot.examples and coverage < DRIFT.min_example_coverage:
+    if check_examples and snapshot.examples and coverage < MIN_EXAMPLE_COVERAGE:
         reasons.append(
             f"landmark coverage lost: only {coverage:.0%} of the user's "
-            f"example rows still extract (min {DRIFT.min_example_coverage:.0%})"
+            f"example rows still extract (min {MIN_EXAMPLE_COVERAGE:.0%})"
         )
 
     column_scores: list[float | None] = []

@@ -39,10 +39,10 @@ from .actions import (
     event_to_dict,
     recordable_actions,
 )
-from .config import DURABILITY, DurabilityConfig
+from .config import DURABILITY
 from .docs import SerializationError
 from .faults import WAL_FAULTS, WalFaultInjector, WalFaultPolicy, WalFaultSpec
-from .recorder import SessionRecorder, recorded
+from .recorder import CHECKPOINT_INTERVAL, SessionRecorder, recorded
 from .replay import ReplayReport, attach_recorder, digest_hash, replay, state_digest
 from .store import DurabilityStore, RecoveredState
 from .wal import InjectedWalFault, WalReadResult, WalWriter, encode_frame, read_wal
@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DURABILITY",
-    "DurabilityConfig",
     "DurabilityStore",
     "InjectedWalFault",
     "RecoveredState",
@@ -89,7 +88,7 @@ def recover_session(
     store: DurabilityStore,
     *,
     seed: int | None = None,
-    checkpoint_interval: int | None = None,
+    checkpoint_interval: int = CHECKPOINT_INTERVAL,
 ) -> tuple[SessionRecorder, ReplayReport | None]:
     """Attach a recorder to a fresh session, replaying any stored history.
 

@@ -9,9 +9,7 @@ what other tenants write in between, which is what makes the
 crash-recovery sweep in CI reproducible.
 
 Arm a policy process-globally through :data:`WAL_FAULTS`
-(``WAL_FAULTS.injected(policy)``, or the ``REPRO_DURABILITY_FAULT_RATE``
-/ ``REPRO_DURABILITY_FAULT_SEED`` environment knobs read once by
-:mod:`repro.durability.config`), or pass one straight to a
+(``WAL_FAULTS.injected(policy)``), or pass one straight to a
 :class:`~repro.durability.wal.WalWriter`.
 """
 
@@ -20,8 +18,6 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-from .config import DURABILITY
 
 #: Fault kinds a draw can land on, in cumulative-probability order.
 KINDS = ("torn", "corrupt", "fsync")
@@ -54,8 +50,8 @@ class WalFaultSpec:
 class WalFaultPolicy:
     """A seeded map from ``(tenant, op index)`` to a fault kind or None."""
 
-    def __init__(self, seed: int | None = None, spec: WalFaultSpec | None = None):
-        self.seed = DURABILITY.fault_seed if seed is None else seed
+    def __init__(self, seed: int = 0, spec: WalFaultSpec | None = None):
+        self.seed = seed
         self.spec = spec or WalFaultSpec()
 
     def _draw(self, tenant: str, op_index: int) -> float:
@@ -83,10 +79,6 @@ class WalFaultInjector:
 
     def __init__(self) -> None:
         self._policy: WalFaultPolicy | None = None
-        if DURABILITY.fault_rate > 0.0:
-            self._policy = WalFaultPolicy(
-                spec=WalFaultSpec.ambient(DURABILITY.fault_rate)
-            )
 
     @property
     def policy(self) -> WalFaultPolicy | None:
@@ -103,5 +95,5 @@ class WalFaultInjector:
             self._policy = previous
 
 
-#: The process-global write-fault injector (ambient chaos knob).
+#: The process-global write-fault injector.
 WAL_FAULTS = WalFaultInjector()

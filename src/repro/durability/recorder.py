@@ -33,10 +33,13 @@ from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_rlock
 from ..obs import METRICS
 from ..server.overload import shielded_deadline
 from .actions import encode_action
-from .config import DURABILITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DurabilityStore
+
+#: Recorded actions between automatic checkpoints (compactions of the log
+#: into ``checkpoint.json``).
+CHECKPOINT_INTERVAL = 64
 
 
 class SessionRecorder:
@@ -48,16 +51,12 @@ class SessionRecorder:
         store: "DurabilityStore | None" = None,
         *,
         seed: int | None = None,
-        checkpoint_interval: int | None = None,
+        checkpoint_interval: int = CHECKPOINT_INTERVAL,
     ):
         self.tenant = tenant
         self.store = store
         self.seed = seed
-        self.checkpoint_interval = (
-            DURABILITY.checkpoint_interval
-            if checkpoint_interval is None
-            else checkpoint_interval
-        )
+        self.checkpoint_interval = checkpoint_interval
         #: the full compacted action history (checkpoint base + tail).
         self.history: list[dict[str, Any]] = []
         #: actions appended since the last checkpoint (tail length).

@@ -31,7 +31,7 @@ The resilient invocation path itself lives on
 from __future__ import annotations
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, ServiceHealth
-from .config import RESILIENCE, ResilienceConfig
+from .config import RESILIENCE
 from .degrade import DEGRADED_PREFIX, Degradation, degraded_source, is_degraded_source
 from .faults import FAULTS, FaultInjector, FaultPolicy, FaultSpec
 from .retry import Deadline, RetryPolicy
@@ -49,7 +49,6 @@ __all__ = [
     "OPEN",
     "CircuitBreaker",
     "RESILIENCE",
-    "ResilienceConfig",
     "RetryPolicy",
     "ServiceHealth",
     "degraded_source",

@@ -23,7 +23,7 @@ mechanism driven by operational signals).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..obs import METRICS

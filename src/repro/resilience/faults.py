@@ -13,8 +13,8 @@ that makes chaos benchmarks and regression tests stable.
 Two ways to arm a policy:
 
 - process-global, via :data:`FAULTS` (``FAULTS.injected(policy)`` context
-  manager, or the ``REPRO_FAULT_RATE`` / ``REPRO_FAULT_SEED`` /
-  ``REPRO_FAULT_LATENCY_MS`` environment knobs read at import) — every
+  manager, or the ``REPRO_FAULT_RATE`` / ``REPRO_FAULT_SEED``
+  environment knobs read at import) — every
   :class:`~repro.substrate.services.base.Service` consults it before each
   backend lookup;
 - per-instance, via :meth:`FaultPolicy.wrap` (or
@@ -195,11 +195,9 @@ def _policy_from_env() -> FaultPolicy | None:
     :mod:`repro.resilience.config` (REPRO001); this only consults the
     resulting knobs.
     """
-    rate = RESILIENCE.fault_rate
-    latency = RESILIENCE.fault_latency_ms
-    if rate <= 0.0 and latency <= 0.0:
+    if RESILIENCE.fault_rate <= 0.0:
         return None
-    return FaultPolicy(default=FaultSpec(transient_rate=rate, latency_ms=latency))
+    return FaultPolicy(default=FaultSpec(transient_rate=RESILIENCE.fault_rate))
 
 
 #: The process-wide injector; armed from the environment when requested.

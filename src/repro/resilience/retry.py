@@ -16,6 +16,12 @@ from typing import Callable
 from ..util.rng import derive_rng, make_rng
 from .config import RESILIENCE
 
+#: Exponential backoff multiplier between consecutive retries.
+RETRY_MULTIPLIER = 2.0
+#: Jitter fraction: each delay is scaled by a seeded uniform draw from
+#: ``[1, 1 + RETRY_JITTER]``.
+RETRY_JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -31,8 +37,8 @@ class RetryPolicy:
         return cls(
             max_attempts=max(1, RESILIENCE.retry_max),
             base_ms=max(0.0, RESILIENCE.retry_base_ms),
-            multiplier=max(1.0, RESILIENCE.retry_multiplier),
-            jitter=max(0.0, RESILIENCE.retry_jitter),
+            multiplier=RETRY_MULTIPLIER,
+            jitter=RETRY_JITTER,
         )
 
     def backoff_ms(self, attempt: int, rng) -> float:

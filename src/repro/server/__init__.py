@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .config import OVERLOAD, SERVER, OverloadConfig, ServerConfig
+from .config import OVERLOAD, SERVER
 from .overload import (
     LoadController,
     Overloaded,
@@ -54,10 +54,8 @@ __all__ = [
     "LoadController",
     "OVERLOAD",
     "Overloaded",
-    "OverloadConfig",
     "RequestExpired",
     "SERVER",
-    "ServerConfig",
     "SessionError",
     "SessionManager",
     "SharedBase",

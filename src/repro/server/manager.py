@@ -59,6 +59,7 @@ from .base import SharedBase
 from .config import OVERLOAD, SERVER
 from .overload import (
     LEVEL_NORMAL,
+    RETRY_AFTER_MS,
     LoadController,
     Overloaded,
     RequestExpired,
@@ -69,6 +70,10 @@ from .overload import (
 )
 
 __all__ = ["SessionError", "SessionManager"]
+
+#: Divisor of every shared cache-tier capacity while browned out (memory
+#: headroom under pressure).
+BROWNOUT_SHRINK = 4
 
 #: Admission-shed reasons tracked per manager (and as overload.shed_*).
 _SHED_REASONS = ("queue", "inflight", "rate", "early")
@@ -326,19 +331,19 @@ class SessionManager:
         if not admitted_by_bucket:
             self._shed("rate", tenant_id, bucket_retry, f"token bucket empty at {cfg.rate:g}/s")
         if depth >= depth_limit:
-            retry = cfg.retry_after_ms * (1.0 + depth / depth_limit)
+            retry = RETRY_AFTER_MS * (1.0 + depth / depth_limit)
             self._shed("queue", tenant_id, retry, f"dispatch queue at {depth}/{depth_limit}")
         inflight = self.inflight
         limit = max(1, cfg.max_inflight)
         if inflight >= limit:
             self._shed(
-                "inflight", tenant_id, cfg.retry_after_ms * 2.0,
+                "inflight", tenant_id, RETRY_AFTER_MS * 2.0,
                 f"server inflight at {inflight}/{limit}",
             )
         pressure = inflight / limit
         if self._shed_policy.should_shed(tenant_id, index, pressure, cfg.shed_soft):
             self._shed(
-                "early", tenant_id, cfg.retry_after_ms,
+                "early", tenant_id, RETRY_AFTER_MS,
                 f"seeded ramp at pressure {pressure:.2f} (soft {cfg.shed_soft:g})",
             )
 
@@ -503,7 +508,7 @@ class SessionManager:
                     f"deadline of {request.deadline.budget_ms:g}ms expired "
                     f"before dispatch for {entry.tenant_id!r}",
                     checkpoint="dequeue",
-                    retry_after_ms=max(1.0, OVERLOAD.retry_after_ms),
+                    retry_after_ms=RETRY_AFTER_MS,
                     tenant=entry.tenant_id,
                 )
             )
@@ -629,7 +634,7 @@ class SessionManager:
             # Brownout: shrink the shared tiers for memory headroom;
             # sessions pick the degraded level up lazily on their next
             # request (inside their serialized streams).
-            self.base.tiers.shrink(OVERLOAD.brownout_shrink)
+            self.base.tiers.shrink(BROWNOUT_SHRINK)
             if METRICS.enabled:
                 METRICS.inc("overload.brownout_entered")
                 METRICS.gauge("overload.level", 1.0)

@@ -71,6 +71,9 @@ __all__ = [
 LEVEL_NORMAL = "normal"
 LEVEL_DEGRADED = "degraded"
 
+#: Base retry hint (ms) carried by shed and expired-request errors.
+RETRY_AFTER_MS = 50.0
+
 
 class SessionError(CopyCatError):
     """Raised for session-manager lifecycle misuse (unknown/closed state)."""
@@ -171,7 +174,7 @@ def check_deadline(checkpoint: str) -> None:
             f"deadline of {deadline.budget_ms:g}ms expired at {checkpoint} "
             f"({deadline.elapsed_ms():.1f}ms elapsed)",
             checkpoint=checkpoint,
-            retry_after_ms=max(1.0, OVERLOAD.retry_after_ms),
+            retry_after_ms=RETRY_AFTER_MS,
         )
 
 

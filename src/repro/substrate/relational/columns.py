@@ -20,7 +20,6 @@ from typing import Any, Iterable, Sequence
 
 from ...provenance.expressions import Provenance, Var
 from ...util.text import INTERN
-from .config import COLUMNAR
 from .rows import Row, TupleId
 from .schema import Schema
 
@@ -75,8 +74,7 @@ class ColumnBatch:
             columns = [list(col) for col in zip(*[row.values for row in rows])]
         else:
             columns = [[] for _ in schema.names]
-        if COLUMNAR.intern:
-            columns = [INTERN.intern_all(column) for column in columns]
+        columns = [INTERN.intern_all(column) for column in columns]
         provs: list[Provenance] = [
             Var(TupleId(source, index)) for index in range(len(rows))
         ]

@@ -1,89 +1,12 @@
-"""Columnar-evaluation configuration: one process-wide switch set.
-
-Mirrors :mod:`repro.cache.config` / :mod:`repro.resilience.config`: a
-singleton (:data:`COLUMNAR`) of plain attributes that the evaluator's hot
-path reads directly, with programmatic overrides for tests and benchmarks
-(:meth:`ColumnarConfig.disabled`, :meth:`ColumnarConfig.overridden`) and
-environment variables read once at import:
-
-- ``REPRO_COLUMNAR=0`` disables columnar batch evaluation entirely — every
-  plan takes the row-at-a-time path and behaves exactly as before this
-  layer existed (the CI ``columnar-parity`` job runs tier-1 this way);
-- ``REPRO_COLUMNAR_COMPILE_CAPACITY`` bounds the compiled-plan memo
-  (closures precompiled per ``(fingerprint, catalog.version)``);
-- ``REPRO_COLUMNAR_SCAN_CAPACITY`` bounds the scan-transpose cache
-  (per-source column arrays, keyed on ``(source, catalog.version)``);
-- ``REPRO_COLUMNAR_INTERN=0`` turns off string interning in scan
-  transposition (values pass through untouched).
-"""
+"""Columnar-evaluation knobs (see :mod:`repro.knobs`)."""
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+from ...knobs import Knob, KnobSet
 
-_FALSY = {"0", "false", "no", "off", ""}
-
-
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else default
-
-
-class ColumnarConfig:
-    """Mutable knobs for the columnar batch evaluator."""
-
-    def __init__(self) -> None:
-        #: master switch; off reproduces row-at-a-time behavior bit-for-bit.
-        self.enabled = _env_flag("REPRO_COLUMNAR", True)
-        #: compiled-plan memo entries (closures per fingerprint × version).
-        self.compile_capacity = _env_int("REPRO_COLUMNAR_COMPILE_CAPACITY", 512)
-        #: scan-transpose cache entries (column arrays per source × version).
-        self.scan_capacity = _env_int("REPRO_COLUMNAR_SCAN_CAPACITY", 128)
-        #: intern string cell values while transposing scans.
-        self.intern = _env_flag("REPRO_COLUMNAR_INTERN", True)
-
-    #: knobs :meth:`overridden` accepts (everything mutable above).
-    KNOBS = ("enabled", "compile_capacity", "scan_capacity", "intern")
-
-    @contextmanager
-    def disabled(self):
-        """Temporarily force the row-at-a-time path."""
-        with self.overridden(enabled=False):
-            yield self
-
-    @contextmanager
-    def overridden(self, **knobs):
-        """Temporarily override any named knob (tests and benchmarks)."""
-        for name in knobs:
-            if name not in self.KNOBS:
-                raise ValueError(f"unknown columnar knob {name!r}; known: {self.KNOBS}")
-        previous = {name: getattr(self, name) for name in knobs}
-        try:
-            for name, value in knobs.items():
-                setattr(self, name, value)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, int | bool]:
-        return {name: getattr(self, name) for name in self.KNOBS}
-
-    def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (
-            f"ColumnarConfig({state}, compile={self.compile_capacity}, "
-            f"scan={self.scan_capacity}, intern={'on' if self.intern else 'off'})"
-        )
-
-
-#: The process-wide columnar configuration the evaluator consults.
-COLUMNAR = ColumnarConfig()
+#: The process-wide columnar knobs the evaluator consults.
+COLUMNAR = KnobSet("columnar", (
+    Knob("enabled", "REPRO_COLUMNAR", bool, True,
+         "0 sends every plan down the row-at-a-time path, bit-for-bit the evaluator before "
+         "columnar batches; the CI `columnar-parity` job runs tier-1 this way"),
+))

@@ -38,6 +38,9 @@ from ...util.rng import derive_rng, make_rng
 from ..relational.rows import TupleId
 from ..relational.schema import BindingPattern, Schema
 
+#: Memoized invoke results per service (entries).
+SERVICE_CAPACITY = 2048
+
 
 class Service:
     """Abstract simulated web service / Web form."""
@@ -57,7 +60,7 @@ class Service:
         # tuple. Deterministic services make this safe; invalidate_cache()
         # is the explicit escape hatch for subclasses whose backing data
         # changes.
-        self._memo = LRUCache(CACHE.service_capacity, metrics_prefix="service.cache")
+        self._memo = LRUCache(SERVICE_CAPACITY, metrics_prefix="service.cache")
         # Interning table assigning stable TupleIds to distinct results, so
         # provenance over service outputs is well-defined and repeatable.
         # Guarded by _lock: a service object may be shared by concurrent

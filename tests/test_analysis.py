@@ -522,9 +522,10 @@ class TestRepro001EnvReads:
         diags = lint_file(tmp_path, "from os import getenv\nX = getenv('A')\n")
         assert [d.code for d in diags] == ["REPRO001"]
 
-    def test_config_module_exempt(self, tmp_path):
-        diags = lint_file(tmp_path, "import os\nX = os.environ.get('A')\n", name="config.py")
-        assert diags == []
+    def test_only_knobs_module_exempt(self, tmp_path):
+        source = "import os\nX = os.environ.get('A')\n"
+        assert lint_file(tmp_path, source, name="knobs.py") == []
+        assert [d.code for d in lint_file(tmp_path, source, name="config.py")] == ["REPRO001"]
 
     def test_suppressed(self, tmp_path):
         diags = lint_file(

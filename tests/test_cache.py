@@ -94,12 +94,16 @@ class TestLRUCache:
             LRUCache(capacity=0)
 
 
+def _layers() -> list[bool]:
+    return [getattr(CACHE, layer) for layer in CACHE.SWITCHES]
+
+
 class TestCacheConfig:
     def test_disabled_restores_flags(self):
         assert CACHE.plan and CACHE.service
         with CACHE.disabled():
-            assert not any(CACHE.snapshot().values())
-        assert all(CACHE.snapshot().values())
+            assert not any(_layers())
+        assert all(_layers())
 
     def test_disabled_single_layer(self):
         with CACHE.disabled("plan"):
@@ -116,7 +120,7 @@ class TestCacheConfig:
         with pytest.raises(RuntimeError):
             with CACHE.disabled():
                 raise RuntimeError("boom")
-        assert all(CACHE.snapshot().values())
+        assert all(_layers())
 
 
 class TestPlanFingerprint:

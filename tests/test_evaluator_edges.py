@@ -204,13 +204,8 @@ class TestBlockedRecordLinkJoin:
 
         with CACHE.disabled("blocking", "plan"):
             full = run(catalog, plan)
-        saved = CACHE.blocking_min_pairs
-        CACHE.blocking_min_pairs = 1  # force the blocked path
-        try:
-            with CACHE.disabled("plan"):
-                blocked = run(catalog, plan)
-        finally:
-            CACHE.blocking_min_pairs = saved
+        with CACHE.overridden(blocking_min_pairs=1), CACHE.disabled("plan"):  # force the blocked path
+            blocked = run(catalog, plan)
         assert key(blocked) == key(full)
         assert len(blocked) > 0
 

@@ -41,7 +41,6 @@ from repro.server import (
     Overloaded,
     RequestExpired,
     SessionManager,
-    SessionError,
     SharedBase,
     ShedPolicy,
     TokenBucket,

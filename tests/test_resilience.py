@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.autocomplete import DEGRADED_PENALTY
 from repro.errors import (
     BindingError,
     CircuitOpenError,
@@ -17,7 +18,7 @@ from repro.errors import (
     ServiceLookupFailed,
     TransientServiceError,
 )
-from repro.learning.integration.learner import IntegrationLearner
+from repro.learning.integration.learner import FAILURE_PENALTY, IntegrationLearner
 from repro.resilience import (
     CLOSED,
     FAULTS,
@@ -467,7 +468,7 @@ class TestHealthAbsorption:
         service.health.successes = 1
         changed = learner.absorb_service_health()
         assert changed >= 1
-        expected = baseline + RESILIENCE.failure_penalty * 0.75
+        expected = baseline + FAILURE_PENALTY * 0.75
         assert learner.graph.weights[key] == pytest.approx(expected)
         # re-absorbing the same health is a no-op (delta-tracked)
         assert learner.absorb_service_health() == 0
@@ -502,7 +503,7 @@ class TestHealthAbsorption:
         service.health.successes = 999  # backend recovers
         learner.absorb_service_health()
         assert learner.graph.weights[key] == pytest.approx(
-            baseline + RESILIENCE.failure_penalty * (1 / 1000), rel=1e-6
+            baseline + FAILURE_PENALTY * (1 / 1000), rel=1e-6
         )
 
     def test_chronic_failure_sinks_below_relevance_threshold(self):
@@ -566,7 +567,7 @@ class TestSessionUnderFaults:
         assert suggestion.degraded == ("Geocoder",)
         assert "DEGRADED(Geocoder)" in suggestion.describe()
         assert suggestion.score == pytest.approx(
-            suggestion.completion.cost + RESILIENCE.degraded_penalty
+            suggestion.completion.cost + DEGRADED_PENALTY
         )
         # the explanation pane names the failed service
         index = suggestions.index(suggestion)
